@@ -12,6 +12,8 @@
  *   - bank_speedup_vs_scalar  bank vs steady scalar, same run
  *   - sweep_wall_ms           wall-clock of the sweep
  *   - epochs_per_sec          controlled epochs per second across workers
+ *   - sweep_skipped_cycle_frac  share of the sweep's simulated cycles the
+ *                             core fast-forwarded instead of ticking
  *   - peak_rss_mb             getrusage peak resident set
  *
  * Checksums (bit-exact sums of controller commands and sweep metrics)
@@ -27,6 +29,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -107,6 +110,7 @@ struct Metrics
     double sweepWallMs = 0.0;
     double epochsPerSec = 0.0;
     double sweepChecksum = 0.0;
+    double sweepSkippedCycleFrac = 0.0; //!< Core::skippedCycles() share.
     double analyticCalibrationMs = 0.0; //!< One-time surrogate fits.
     double analyticSweepWallMs = 0.0;
     double analyticEpochsPerSec = 0.0;
@@ -144,6 +148,8 @@ writeJson(std::FILE *f, const char *indent, const Metrics &m)
                  m.epochsPerSec);
     std::fprintf(f, "%s\"sweep_checksum\": %.17g,\n", indent,
                  m.sweepChecksum);
+    std::fprintf(f, "%s\"sweep_skipped_cycle_frac\": %.4f,\n", indent,
+                 m.sweepSkippedCycleFrac);
     std::fprintf(f, "%s\"analytic_calibration_ms\": %.3f,\n", indent,
                  m.analyticCalibrationMs);
     std::fprintf(f, "%s\"analytic_sweep_wall_ms\": %.3f,\n", indent,
@@ -441,6 +447,9 @@ main(int argc, char **argv)
     std::vector<exec::JobKey> keys;
     for (size_t i = 0; i < n_apps; ++i)
         keys.push_back({apps[i], "hotpath", 0, 0});
+    // Simulated vs fast-forwarded cycles across the sweep's cores: the
+    // share the core layer skipped (DESIGN.md §9).
+    std::atomic<uint64_t> sim_cycles{0}, skipped_cycles{0};
     const double t_sweep = nowMs();
     const std::vector<double> exd =
         runner
@@ -457,10 +466,18 @@ main(int argc, char **argv)
             dcfg.optimizer.metricExponent = 2;
             dcfg.cancel = &ctx.cancel;
             EpochDriver driver(plant, *mimo, dcfg);
-            return driver.run(baselineSettings()).exdMetric(2);
+            const double exd = driver.run(baselineSettings()).exdMetric(2);
+            const Core &core = plant.processor().core();
+            sim_cycles += core.counters().cycles;
+            skipped_cycles += core.skippedCycles();
+            return exd;
         })
             .results;
     cur.sweepWallMs = nowMs() - t_sweep;
+    cur.sweepSkippedCycleFrac = sim_cycles
+        ? static_cast<double>(skipped_cycles) /
+            static_cast<double>(sim_cycles)
+        : 0.0;
     const double total_epochs =
         static_cast<double>(n_apps) * static_cast<double>(epochs);
     cur.epochsPerSec = total_epochs / (cur.sweepWallMs / 1000.0);
@@ -468,9 +485,10 @@ main(int argc, char **argv)
         cur.sweepChecksum += v;
     cur.peakRssMbVal = peakRssMb();
     std::printf("sweep:         %10.1f ms wall (%zu apps x %zu epochs, "
-                "%u jobs) = %.0f epochs/s\n",
+                "%u jobs) = %.0f epochs/s, %.1f%% of sim cycles "
+                "fast-forwarded\n",
                 cur.sweepWallMs, n_apps, epochs, runner.jobs(),
-                cur.epochsPerSec);
+                cur.epochsPerSec, 100.0 * cur.sweepSkippedCycleFrac);
     std::printf("peak RSS:      %10.2f MB\n", cur.peakRssMbVal);
     std::printf("sweep checksum: %.17g\n", cur.sweepChecksum);
 
@@ -599,6 +617,8 @@ main(int argc, char **argv)
             base.sweepWallMs = findNumber(text, "sweep_wall_ms");
             base.epochsPerSec = findNumber(text, "epochs_per_sec");
             base.sweepChecksum = findNumber(text, "sweep_checksum");
+            base.sweepSkippedCycleFrac =
+                findNumber(text, "sweep_skipped_cycle_frac");
             base.analyticCalibrationMs =
                 findNumber(text, "analytic_calibration_ms");
             base.analyticSweepWallMs =
@@ -628,8 +648,8 @@ main(int argc, char **argv)
                 findNumber(text, "bank_saturated_ns_per_lane_step");
             base.bankSaturatedChecksum =
                 findNumber(text, "bank_saturated_checksum");
-            // Baselines written before the telemetry A/B or bank
-            // blocks lack the fields; zero keeps the JSON valid.
+            // Baselines written before the telemetry A/B, bank or
+            // skip-fraction fields lack them; zero keeps the JSON valid.
             for (double *v :
                  {&base.telemetryOffMs, &base.telemetryOnMs,
                   &base.telemetryOverheadPct, &base.telemetryRssDeltaMb,
@@ -642,7 +662,8 @@ main(int argc, char **argv)
                   &base.bankStepsPerSec, &base.bankNsPerLaneStep,
                   &base.bankSpeedupVsScalar, &base.bankChecksum,
                   &base.bankSaturatedNsPerLaneStep,
-                  &base.bankSaturatedChecksum})
+                  &base.bankSaturatedChecksum,
+                  &base.sweepSkippedCycleFrac})
                 if (!std::isfinite(*v))
                     *v = 0.0;
             have_baseline = std::isfinite(base.controllerNsPerStep);

@@ -46,16 +46,36 @@ Core::execLatency(OpClass cls) const
     panic("unknown op class");
 }
 
+uint64_t
+Core::producerReadyCycle(uint64_t producer_seq) const
+{
+    if (producer_seq == 0 || producer_seq < robHeadSeq_)
+        return 0; // no dependency, or already committed
+    const size_t idx = producer_seq - robHeadSeq_;
+    if (idx >= rob_.size())
+        return 0; // defensive: outside the window
+    const RobEntry &e = rob_[idx];
+    return e.issued ? e.readyCycle : UINT64_MAX;
+}
+
 bool
 Core::producerDone(uint64_t producer_seq) const
 {
-    if (producer_seq == 0 || producer_seq < robHeadSeq_)
-        return true; // no dependency, or already committed
-    const size_t idx = producer_seq - robHeadSeq_;
-    if (idx >= rob_.size())
-        return true; // defensive: outside the window
-    const RobEntry &e = rob_[idx];
-    return e.issued && e.readyCycle <= now_;
+    return producerReadyCycle(producer_seq) <= now_;
+}
+
+bool
+Core::lsqFull(OpClass cls) const
+{
+    return (cls == OpClass::Load &&
+            loadsInFlight_ >= config_.loadQueueSize) ||
+        (cls == OpClass::Store && storesInFlight_ >= config_.storeQueueSize);
+}
+
+size_t
+Core::fetchQueueCap() const
+{
+    return size_t{2} * config_.fetchWidth * config_.frontendDepth;
 }
 
 void
@@ -239,13 +259,7 @@ Core::dispatchStage()
             rob_full = true;
             break;
         }
-        if (f.op.cls == OpClass::Load &&
-            loadsInFlight_ >= config_.loadQueueSize) {
-            lsq_full = true;
-            break;
-        }
-        if (f.op.cls == OpClass::Store &&
-            storesInFlight_ >= config_.storeQueueSize) {
+        if (lsqFull(f.op.cls)) {
             lsq_full = true;
             break;
         }
@@ -276,10 +290,8 @@ Core::dispatchStage()
 void
 Core::fetchStage()
 {
-    const size_t fetch_queue_cap =
-        size_t{2} * config_.fetchWidth * config_.frontendDepth;
     if (now_ < fetchBlockedUntil_ || pendingBranchSeq_ != 0 ||
-        fetchQueue_.size() >= fetch_queue_cap) {
+        fetchQueue_.size() >= fetchQueueCap()) {
         ++counters_.fetchStallCycles;
         return;
     }
@@ -340,11 +352,97 @@ Core::cycle(double freq_ghz)
     ++now_;
 }
 
+uint64_t
+Core::nextEventCycle()
+{
+    // The checks mirror the stages' own guards, cheapest first. Every
+    // time-dependent guard is a comparison of now_ against a cycle
+    // stamp, so until the earliest stamp still ahead nothing can act.
+    uint64_t t = UINT64_MAX;
+
+    // Fetch. Only the I-miss/redirect stall ends by itself; a pending
+    // mispredict or a full fetch queue waits for issue or dispatch.
+    if (pendingBranchSeq_ == 0 && fetchQueue_.size() < fetchQueueCap()) {
+        if (now_ >= fetchBlockedUntil_)
+            return now_;
+        t = fetchBlockedUntil_;
+    }
+
+    // Commit.
+    if (!rob_.empty() && rob_.front().issued) {
+        if (rob_.front().readyCycle <= now_)
+            return now_;
+        t = std::min(t, rob_.front().readyCycle);
+    }
+
+    // Dispatch: a pending shrink that can complete, or a ready front op
+    // with room for it. The front op's readiness counts even when it
+    // cannot dispatch, because it decides which stall counter ticks.
+    if (robSizeTarget_ < robSizeActive_ && rob_.size() <= robSizeTarget_)
+        return now_;
+    if (!fetchQueue_.empty()) {
+        const FetchedOp &f = fetchQueue_.front();
+        if (f.readyAtCycle > now_)
+            t = std::min(t, f.readyAtCycle);
+        else if (rob_.size() < robSizeActive_ && !lsqFull(f.op.cls))
+            return now_;
+    }
+
+    // Issue: an unissued entry wakes when its last producer's result is
+    // available; an unissued producer defers that to its own issue.
+    while (issuedPrefix_ < rob_.size() && rob_[issuedPrefix_].issued)
+        ++issuedPrefix_;
+    const size_t rob_size = rob_.size();
+    for (size_t idx = issuedPrefix_; idx < rob_size; ++idx) {
+        const RobEntry &e = rob_[idx];
+        if (e.issued)
+            continue;
+        const uint64_t wake =
+            std::max(producerReadyCycle(e.producerSeq0),
+                     producerReadyCycle(e.producerSeq1));
+        if (wake <= now_)
+            return now_;
+        t = std::min(t, wake);
+    }
+    return t;
+}
+
+void
+Core::skipTo(uint64_t t)
+{
+    // The idle cycles are exactly cycle() with every stage stalled:
+    // fetch counts a stall, and dispatch flags ROB-full, else LSQ-full,
+    // when the front op is ready (nextEventCycle() returned now_ if it
+    // could have dispatched).
+    const uint64_t k = t - now_;
+    counters_.cycles += k;
+    counters_.robOccupancySum += k * rob_.size();
+    counters_.fetchStallCycles += k;
+    if (!fetchQueue_.empty() && fetchQueue_.front().readyAtCycle <= now_) {
+        if (rob_.size() >= robSizeActive_)
+            counters_.robFullStallCycles += k;
+        else
+            counters_.lsqFullStallCycles += k;
+    }
+    skippedCycles_ += k;
+    now_ = t;
+}
+
 void
 Core::run(uint64_t n, double freq_ghz)
 {
-    for (uint64_t i = 0; i < n; ++i)
+    // Knob, DVFS and L2-mask changes happen between run() calls, so no
+    // skip crosses one; skips are clipped to this call's last cycle.
+    const uint64_t end = now_ + n;
+    while (now_ < end) {
+        const uint64_t t = std::min(nextEventCycle(), end);
+        if (t > now_) {
+            skipTo(t);
+            if (t == end)
+                break;
+        }
         cycle(freq_ghz);
+    }
 }
 
 } // namespace mimoarch

@@ -9,6 +9,13 @@
  * commit. Dependencies are expressed as producer distances in the dynamic
  * stream, so any InstructionSource can drive the core.
  *
+ * run() is event-driven: a cycle in which no stage can change state
+ * (fetch stalled, nothing ready to dispatch, commit or issue) is not
+ * ticked. run() jumps to the next cycle at which something can act and
+ * accrues the skipped cycles' counters arithmetically, so every counter
+ * equals what ticking each cycle through cycle() produces (DESIGN.md §9,
+ * "Idle-cycle fast-forward").
+ *
  * Configurable knobs (the paper's inputs): ROB size (power-gated in
  * 16-entry partitions per Ponomarev et al. [37]) and, via the memory
  * hierarchy it is attached to, cache associativity; frequency lives in
@@ -72,7 +79,10 @@ class Core
     /** Advance one cycle at the given core frequency. */
     void cycle(double freq_ghz);
 
-    /** Advance @p n cycles. */
+    /**
+     * Advance @p n cycles. Idle cycles are fast-forwarded; the result is
+     * bit-identical to calling cycle() @p n times.
+     */
     void run(uint64_t n, double freq_ghz);
 
     /**
@@ -83,6 +93,8 @@ class Core
     void setRobSize(unsigned entries);
 
     unsigned robSize() const { return robSizeTarget_; }
+    /** ROB size in force now (lags robSize() while a shrink drains). */
+    unsigned robSizeActive() const { return robSizeActive_; }
     unsigned robOccupancy() const { return static_cast<unsigned>(rob_.size()); }
 
     const CoreCounters &counters() const { return counters_; }
@@ -92,8 +104,20 @@ class Core
     /** Flush in-flight state (not predictor/caches); keeps counters. */
     void flushPipeline();
 
+    /**
+     * Cycles run() fast-forwarded instead of ticking (a subset of
+     * counters().cycles). Observe-only: kept out of CoreCounters so the
+     * power model and the epoch readout never see it.
+     */
+    uint64_t skippedCycles() const { return skippedCycles_; }
+
     /** Zero the activity counters (e.g. after a warmup run). */
-    void resetCounters() { counters_ = CoreCounters{}; }
+    void
+    resetCounters()
+    {
+        counters_ = CoreCounters{};
+        skippedCycles_ = 0;
+    }
 
   private:
     struct RobEntry
@@ -120,7 +144,21 @@ class Core
     void issueStage(double freq_ghz);
     void commitStage();
 
+    /**
+     * Earliest cycle >= now_ at which a stage can act, or at which a
+     * per-cycle stall counter can change regime; now_ if this cycle can
+     * act. Never later than the true next event (it may be earlier).
+     */
+    uint64_t nextEventCycle();
+    /** Jump now_ to @p t > now_, accruing the idle cycles' counters. */
+    void skipTo(uint64_t t);
+
     bool producerDone(uint64_t producer_seq) const;
+    /** Cycle at which producerDone() turns true; UINT64_MAX while the
+     *  producer is unissued. */
+    uint64_t producerReadyCycle(uint64_t producer_seq) const;
+    bool lsqFull(OpClass cls) const;
+    size_t fetchQueueCap() const;
     unsigned execLatency(OpClass cls) const;
 
     CoreConfig config_;
@@ -155,6 +193,7 @@ class Core
     double curFreqGhz_ = 1.0;
 
     CoreCounters counters_;
+    uint64_t skippedCycles_ = 0;
 };
 
 } // namespace mimoarch
