@@ -76,16 +76,15 @@ copyPlane(double *out, const double *a, size_t rows, size_t lanes,
 
 /*
  * Runtime AVX2 dispatch for the tile step. On x86-64 with GCC/Clang
- * (and when the whole tree is not already compiled for AVX2 via
- * -DMIMOARCH_AVX2=ON) bank_step.inl is instantiated a second time as
- * an `__attribute__((target("avx2")))` function clone; the CPU is
+ * bank_step.inl is instantiated a second time as an
+ * `__attribute__((target("avx2")))` function clone; the CPU is
  * probed once per bank with __builtin_cpu_supports. Bit-safe: the
  * clone compiles the identical statements and the target attribute
  * carries no FMA, so vector packing cannot change any lane's rounding
  * sequence (verified: SSE2 and AVX2 builds produce bit-identical
  * trajectory checksums).
  */
-#if defined(__x86_64__) && defined(__GNUC__) && !MIMOARCH_AVX2
+#if defined(__x86_64__) && defined(__GNUC__)
 #define MIMOARCH_BANK_AVX2_DISPATCH 1
 #else
 #define MIMOARCH_BANK_AVX2_DISPATCH 0

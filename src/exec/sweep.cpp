@@ -1,7 +1,5 @@
 #include "exec/sweep.hpp"
 
-#include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -210,65 +208,6 @@ SweepRunner::~SweepRunner()
         telemetry::writeReports(telemetryPath_);
     else if (armedTrace_)
         telemetry::trace().stop();
-}
-
-void
-SweepRunner::forEach(size_t n, const std::function<void(size_t)> &fn)
-{
-    if (n == 0)
-        return;
-
-    std::atomic<size_t> done{0};
-    const auto tick = [&](size_t) {
-        if (!progress_)
-            return;
-        const size_t d = done.fetch_add(1, std::memory_order_relaxed) + 1;
-        std::fprintf(stderr, "# sweep: %zu/%zu jobs done\n", d, n);
-    };
-
-    if (!pool_) {
-        // Serial reference semantics: in order, on this thread.
-        for (size_t i = 0; i < n; ++i) {
-            telemetry::Span job_span("job", "sweep", nullptr, "job",
-                                     static_cast<int64_t>(i));
-            fn(i);
-            tick(i);
-        }
-        return;
-    }
-
-    std::vector<std::exception_ptr> errors(n);
-    for (size_t i = 0; i < n; ++i) {
-        pool_->submit([&, i] {
-            telemetry::Span job_span("job", "sweep", nullptr, "job",
-                                     static_cast<int64_t>(i));
-            try {
-                fn(i);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-            tick(i);
-        });
-    }
-    pool_->wait();
-    // Rethrow the lowest-index failure with the job's identity
-    // attached — a bare what() from deep inside a worker is useless
-    // for reproducing the failing job.
-    for (size_t i = 0; i < n; ++i) {
-        if (!errors[i])
-            continue;
-        try {
-            std::rethrow_exception(errors[i]);
-        } catch (const std::exception &e) {
-            throw std::runtime_error("sweep job " + std::to_string(i) +
-                                     "/" + std::to_string(n) +
-                                     " failed: " + e.what());
-        } catch (...) {
-            throw std::runtime_error("sweep job " + std::to_string(i) +
-                                     "/" + std::to_string(n) +
-                                     " failed: non-exception throw");
-        }
-    }
 }
 
 } // namespace mimoarch::exec

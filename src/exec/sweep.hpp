@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
@@ -110,23 +109,6 @@ class SweepRunner
     const ResilientPolicy &policy() const { return resilient_; }
 
     /**
-     * Run @p fn(i) for i in [0, n) and return the results in index
-     * order. R must be default-constructible and movable. With one
-     * worker the jobs run inline, in order, on the calling thread
-     * (exactly the pre-parallel serial semantics). Job exceptions are
-     * captured and the lowest-index one is rethrown after the sweep,
-     * wrapped with the job's index and original message.
-     */
-    template <typename R>
-    std::vector<R>
-    map(size_t n, const std::function<R(size_t)> &fn)
-    {
-        std::vector<R> results(n);
-        forEach(n, [&](size_t i) { results[i] = fn(i); });
-        return results;
-    }
-
-    /**
      * The resilient sweep entry point: run one job per @p key under
      * the runner's ResilientPolicy — isolation, watchdog + retry,
      * checkpoint/resume keyed by @p fingerprint, chaos injection —
@@ -191,12 +173,6 @@ class SweepRunner
             out.results[f.index] = R{};
         return out;
     }
-
-    /**
-     * Run @p fn(i) for i in [0, n); results are whatever fn writes to
-     * its own slots. Blocks until all jobs finished.
-     */
-    void forEach(size_t n, const std::function<void(size_t)> &fn);
 
   private:
     unsigned jobs_;

@@ -7,8 +7,7 @@
  * with `stride >= lanes` (the bank rounds stride up to its lane
  * capacity so planes stay put while lanes are added). Batching this way
  * turns the scalar controller's short gemv (rows <= ~8) into long
- * unit-stride loops over lanes, which is what auto-vectorizers — and
- * the explicit AVX2 path below — want.
+ * unit-stride loops over lanes, which is what auto-vectorizers want.
  *
  * BIT-EQUIVALENCE CONTRACT: for every lane l, gemvBatch performs
  * exactly the accumulation sequence of MatrixT::gemv (k ascending,
@@ -21,25 +20,11 @@
  * the golden-trace digests rely on this. There is deliberately no
  * zero-skip: 0 * NaN and 0 * Inf poison from a corrupted matrix or
  * measurement must propagate (see the contract on MatrixT::operator*).
- *
- * The AVX2 path is compiled only when the build opts in
- * (-DMIMOARCH_AVX2=ON) *and* the compiler targets AVX2; it uses
- * separate mul/add intrinsics (never FMA) with the same operand order
- * as the scalar statements, so per-lane IEEE rounding — and NaN
- * propagation — is unchanged lane by lane.
  */
 
 #pragma once
 
 #include <cstddef>
-
-#ifndef MIMOARCH_AVX2
-#define MIMOARCH_AVX2 0
-#endif
-
-#if MIMOARCH_AVX2 && defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 namespace mimoarch::batch {
 
@@ -58,37 +43,6 @@ gemvBatch(double *__restrict out, const double *__restrict a,
           size_t rows, size_t cols, const double *__restrict x,
           size_t lanes, size_t stride)
 {
-#if MIMOARCH_AVX2 && defined(__AVX2__)
-    for (size_t i = 0; i < rows; ++i) {
-        double *oi = out + i * stride;
-        size_t l = 0;
-        const __m256d vzero = _mm256_setzero_pd();
-        for (; l + 4 <= lanes; l += 4)
-            _mm256_storeu_pd(oi + l, vzero);
-        for (; l < lanes; ++l)
-            oi[l] = 0.0;
-        const double *ai = a + i * cols;
-        for (size_t k = 0; k < cols; ++k) {
-            const double aik = ai[k];
-            const double *xk = x + k * stride;
-            const __m256d va = _mm256_set1_pd(aik);
-            l = 0;
-            for (; l + 4 <= lanes; l += 4) {
-                // Same operand order as the scalar statements below:
-                // mul(aik, x), then add(out, t).
-                const __m256d vt =
-                    _mm256_mul_pd(va, _mm256_loadu_pd(xk + l));
-                const __m256d vo =
-                    _mm256_add_pd(_mm256_loadu_pd(oi + l), vt);
-                _mm256_storeu_pd(oi + l, vo);
-            }
-            for (; l < lanes; ++l) {
-                const double t = aik * xk[l];
-                oi[l] += t;
-            }
-        }
-    }
-#else
     // Register-blocked: four lanes accumulate across all of k before
     // anything is stored, so each lane-MAC costs one load instead of a
     // load-modify-store pass over the out row (the SLP vectorizer
@@ -128,7 +82,6 @@ gemvBatch(double *__restrict out, const double *__restrict a,
             oi[l] = acc;
         }
     }
-#endif
 }
 
 /**
@@ -144,25 +97,6 @@ axpyBatch(double *__restrict y, double alpha,
           const double *__restrict x, size_t rows, size_t lanes,
           size_t stride)
 {
-#if MIMOARCH_AVX2 && defined(__AVX2__)
-    const __m256d va = _mm256_set1_pd(alpha);
-    for (size_t r = 0; r < rows; ++r) {
-        double *yr = y + r * stride;
-        const double *xr = x + r * stride;
-        size_t l = 0;
-        for (; l + 4 <= lanes; l += 4) {
-            const __m256d vt =
-                _mm256_mul_pd(va, _mm256_loadu_pd(xr + l));
-            const __m256d vy =
-                _mm256_add_pd(_mm256_loadu_pd(yr + l), vt);
-            _mm256_storeu_pd(yr + l, vy);
-        }
-        for (; l < lanes; ++l) {
-            const double t = alpha * xr[l];
-            yr[l] += t;
-        }
-    }
-#else
     for (size_t r = 0; r < rows; ++r) {
         double *yr = y + r * stride;
         const double *xr = x + r * stride;
@@ -171,7 +105,6 @@ axpyBatch(double *__restrict y, double alpha,
             yr[l] += t;
         }
     }
-#endif
 }
 
 } // namespace mimoarch::batch

@@ -67,8 +67,12 @@ sweepAt(unsigned workers)
     // Initializing on the main thread gives every worker a TSan-visible
     // edge (thread creation) ordered after the init.
     (void)Spec2006Suite::all();
-    return runner.map<Digests>(kJobs.size(), [&](size_t i) {
-        const auto &[app, arch] = kJobs[i];
+    std::vector<exec::JobKey> keys;
+    for (const auto &[app, arch] : kJobs)
+        keys.push_back({app, arch, 0, 0});
+    const auto job = [&](const exec::JobContext &ctx) {
+        const std::string &app = ctx.key.app;
+        const std::string &arch = ctx.key.controller;
         const KnobSpace knobs(false);
 
         std::unique_ptr<ArchController> ctrl;
@@ -94,7 +98,8 @@ sweepAt(unsigned workers)
         init.cacheSetting = 1;
         const RunSummary sum = driver.run(init);
         return Digests{digest(sum), digest(driver.trace())};
-    });
+    };
+    return runner.mapJobs<Digests>(keys, cfg.fingerprint(), job).results;
 }
 
 TEST(ParallelEquivalence, OneTwoAndEightWorkersAgreeBitForBit)

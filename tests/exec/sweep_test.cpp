@@ -28,6 +28,16 @@ argvOf(std::vector<std::string> &args)
     return argv;
 }
 
+/** @p n distinct job keys; a job's index doubles as its rep. */
+std::vector<JobKey>
+keysFor(size_t n)
+{
+    std::vector<JobKey> keys;
+    for (size_t i = 0; i < n; ++i)
+        keys.push_back({"", "sweep", 0, i});
+    return keys;
+}
+
 TEST(ParseSweepArgs, DefaultsToHardwareConcurrency)
 {
     std::vector<std::string> args = {"bench"};
@@ -104,11 +114,12 @@ TEST(SweepRunner, MapReturnsResultsInIndexOrder)
         SweepOptions opt;
         opt.jobs = jobs;
         SweepRunner runner(opt);
-        const std::vector<size_t> out = runner.map<size_t>(
-            100, [](size_t i) { return i * i; });
-        ASSERT_EQ(out.size(), 100u);
-        for (size_t i = 0; i < out.size(); ++i)
-            EXPECT_EQ(out[i], i * i) << "jobs=" << jobs;
+        const SweepOutcome<size_t> out = runner.mapJobs<size_t>(
+            keysFor(100), 0,
+            [](const JobContext &ctx) { return ctx.index * ctx.index; });
+        ASSERT_EQ(out.results.size(), 100u);
+        for (size_t i = 0; i < out.results.size(); ++i)
+            EXPECT_EQ(out.results[i], i * i) << "jobs=" << jobs;
     }
 }
 
@@ -117,7 +128,10 @@ TEST(SweepRunner, EmptySweepIsANoOp)
     SweepOptions opt;
     opt.jobs = 4;
     SweepRunner runner(opt);
-    EXPECT_TRUE(runner.map<int>(0, [](size_t) { return 1; }).empty());
+    const SweepOutcome<int> out = runner.mapJobs<int>(
+        keysFor(0), 0, [](const JobContext &) { return 1; });
+    EXPECT_TRUE(out.results.empty());
+    EXPECT_EQ(out.report.jobs, 0u);
 }
 
 TEST(SweepRunner, SerialRunnerExecutesInOrderOnThisThread)
@@ -127,9 +141,10 @@ TEST(SweepRunner, SerialRunnerExecutesInOrderOnThisThread)
     SweepRunner runner(opt);
     const std::thread::id self = std::this_thread::get_id();
     std::vector<size_t> order;
-    runner.forEach(10, [&](size_t i) {
+    (void)runner.mapJobs<int>(keysFor(10), 0, [&](const JobContext &ctx) {
         EXPECT_EQ(std::this_thread::get_id(), self);
-        order.push_back(i);
+        order.push_back(ctx.index);
+        return 0;
     });
     ASSERT_EQ(order.size(), 10u);
     for (size_t i = 0; i < order.size(); ++i)
@@ -140,19 +155,28 @@ TEST(SweepRunner, LowestIndexExceptionWins)
 {
     SweepOptions opt;
     opt.jobs = 4;
+    opt.resilient.maxAttempts = 1;
     SweepRunner runner(opt);
     std::atomic<int> completed{0};
     try {
-        runner.forEach(64, [&](size_t i) {
-            if (i == 37 || i == 53)
-                throw std::runtime_error(std::to_string(i));
-            completed.fetch_add(1);
-        });
+        (void)runner.mapJobs<int>(
+            keysFor(64), 0, [&](const JobContext &ctx) {
+                if (ctx.index == 37 || ctx.index == 53)
+                    throw std::runtime_error(std::to_string(ctx.index));
+                completed.fetch_add(1);
+                return 0;
+            });
         FAIL() << "expected the job exception to propagate";
-    } catch (const std::runtime_error &e) {
-        // First-failure context: the rethrown error carries the job's
-        // index alongside the original message.
-        EXPECT_STREQ(e.what(), "sweep job 37/64 failed: 37");
+    } catch (const SweepError &e) {
+        // First-failure context: the error names the lowest failing
+        // job alongside its original message.
+        ASSERT_EQ(e.failures().size(), 2u);
+        EXPECT_EQ(e.failures().front().index, 37u);
+        EXPECT_EQ(e.failures().front().message, "37");
+        EXPECT_NE(std::string(e.what()).find("(job 37) failed after 1 "
+                                             "attempt(s): exception: 37"),
+                  std::string::npos)
+            << e.what();
     }
     // Every non-throwing job still ran to completion.
     EXPECT_EQ(completed.load(), 62);

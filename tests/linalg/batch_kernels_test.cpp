@@ -7,9 +7,8 @@
  * Matrix::axpy over random shapes, lane counts, and strides, with
  * NaN/Inf/signed-zero/denormal injection (no-zero-skip: 0 * NaN must
  * propagate), and pin that lanes beyond the active count are never
- * touched. The suite also runs as release/ (shipping flags), avx2/
- * (explicit SIMD dispatch), sanitized/, and tsan/ copies — see
- * tests/linalg/CMakeLists.txt.
+ * touched. The suite also runs as release/ (shipping flags),
+ * sanitized/, and tsan/ copies — see tests/linalg/CMakeLists.txt.
  */
 
 #include <gtest/gtest.h>
@@ -221,8 +220,9 @@ TEST(BatchKernels, ZeroTimesNanPropagatesEveryLane)
 
 TEST(BatchKernels, ExactVectorWidthAndTailLaneCounts)
 {
-    // lanes = 4 exercises exactly one AVX2 vector with no tail;
-    // lanes = 5 forces the scalar tail loop; lanes = 3 runs tail-only.
+    // lanes = 4 fills exactly one four-lane register block of
+    // gemvBatch with no tail; lanes = 5 forces the per-lane tail loop;
+    // lanes = 3 runs tail-only.
     Rng rng(99);
     for (const size_t lanes : {size_t{3}, size_t{4}, size_t{5},
                                size_t{8}, size_t{12}}) {
