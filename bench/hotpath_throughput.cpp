@@ -28,7 +28,6 @@
 
 #include <sys/resource.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -116,87 +115,96 @@ struct Metrics
     double analyticEpochsPerSec = 0.0;
     double analyticSpeedupVsCycle = 0.0; //!< epochs/s ratio, same run.
     double analyticSweepChecksum = 0.0;
-    double peakRssMbVal = 0.0;
-    double telemetryOffMs = 0.0;  //!< A/B loop, trace disarmed.
-    double telemetryOnMs = 0.0;   //!< A/B loop, trace armed.
-    double telemetryOverheadPct = 0.0;
-    double telemetryRssDeltaMb = 0.0; //!< Peak-RSS cost of arming.
-    double bankLanes = 0.0;           //!< ControllerBank fleet width.
+    double bankLaneCount = 0.0;       //!< ControllerBank lane count.
     double bankStepsPerSec = 0.0;     //!< Aggregate lane-steps/s.
     double bankNsPerLaneStep = 0.0;
     double bankSpeedupVsScalar = 0.0; //!< vs controller_ns_per_step.
     double bankChecksum = 0.0;
     double bankSaturatedNsPerLaneStep = 0.0; //!< Every step clipping.
     double bankSaturatedChecksum = 0.0;
+    double peakRssMbVal = 0.0;
+};
+
+/** One BENCH_hotpath.json field: its key, where it lives, its format. */
+struct Field
+{
+    const char *key;
+    double Metrics::*member;
+    const char *format;
+};
+
+/** Every field of a metrics block, in file order. The writer and the
+ *  --baseline reader both walk this one list. */
+constexpr Field kFields[] = {
+    {"design_flow_ms", &Metrics::designFlowMs, "%.3f"},
+    {"controller_ns_per_step", &Metrics::controllerNsPerStep, "%.2f"},
+    {"controller_checksum", &Metrics::controllerChecksum, "%.17g"},
+    {"controller_steady_ns_per_step", &Metrics::controllerSteadyNsPerStep,
+     "%.2f"},
+    {"controller_steady_checksum", &Metrics::controllerSteadyChecksum,
+     "%.17g"},
+    {"sweep_wall_ms", &Metrics::sweepWallMs, "%.3f"},
+    {"epochs_per_sec", &Metrics::epochsPerSec, "%.1f"},
+    {"sweep_checksum", &Metrics::sweepChecksum, "%.17g"},
+    {"sweep_skipped_cycle_frac", &Metrics::sweepSkippedCycleFrac, "%.4f"},
+    {"analytic_calibration_ms", &Metrics::analyticCalibrationMs, "%.3f"},
+    {"analytic_sweep_wall_ms", &Metrics::analyticSweepWallMs, "%.3f"},
+    {"analytic_epochs_per_sec", &Metrics::analyticEpochsPerSec, "%.1f"},
+    {"analytic_speedup_vs_cycle", &Metrics::analyticSpeedupVsCycle,
+     "%.1f"},
+    {"analytic_sweep_checksum", &Metrics::analyticSweepChecksum, "%.17g"},
+    {"bank_lanes", &Metrics::bankLaneCount, "%.0f"},
+    {"bank_steps_per_sec", &Metrics::bankStepsPerSec, "%.0f"},
+    {"bank_ns_per_lane_step", &Metrics::bankNsPerLaneStep, "%.2f"},
+    {"bank_speedup_vs_scalar", &Metrics::bankSpeedupVsScalar, "%.2f"},
+    {"bank_checksum", &Metrics::bankChecksum, "%.17g"},
+    {"bank_saturated_ns_per_lane_step",
+     &Metrics::bankSaturatedNsPerLaneStep, "%.2f"},
+    {"bank_saturated_checksum", &Metrics::bankSaturatedChecksum, "%.17g"},
+    {"peak_rss_mb", &Metrics::peakRssMbVal, "%.2f"},
 };
 
 void
 writeJson(std::FILE *f, const char *indent, const Metrics &m)
 {
-    std::fprintf(f, "%s\"design_flow_ms\": %.3f,\n", indent,
-                 m.designFlowMs);
-    std::fprintf(f, "%s\"controller_ns_per_step\": %.2f,\n", indent,
-                 m.controllerNsPerStep);
-    std::fprintf(f, "%s\"controller_checksum\": %.17g,\n", indent,
-                 m.controllerChecksum);
-    std::fprintf(f, "%s\"controller_steady_ns_per_step\": %.2f,\n",
-                 indent, m.controllerSteadyNsPerStep);
-    std::fprintf(f, "%s\"controller_steady_checksum\": %.17g,\n", indent,
-                 m.controllerSteadyChecksum);
-    std::fprintf(f, "%s\"sweep_wall_ms\": %.3f,\n", indent, m.sweepWallMs);
-    std::fprintf(f, "%s\"epochs_per_sec\": %.1f,\n", indent,
-                 m.epochsPerSec);
-    std::fprintf(f, "%s\"sweep_checksum\": %.17g,\n", indent,
-                 m.sweepChecksum);
-    std::fprintf(f, "%s\"sweep_skipped_cycle_frac\": %.4f,\n", indent,
-                 m.sweepSkippedCycleFrac);
-    std::fprintf(f, "%s\"analytic_calibration_ms\": %.3f,\n", indent,
-                 m.analyticCalibrationMs);
-    std::fprintf(f, "%s\"analytic_sweep_wall_ms\": %.3f,\n", indent,
-                 m.analyticSweepWallMs);
-    std::fprintf(f, "%s\"analytic_epochs_per_sec\": %.1f,\n", indent,
-                 m.analyticEpochsPerSec);
-    std::fprintf(f, "%s\"analytic_speedup_vs_cycle\": %.1f,\n", indent,
-                 m.analyticSpeedupVsCycle);
-    std::fprintf(f, "%s\"analytic_sweep_checksum\": %.17g,\n", indent,
-                 m.analyticSweepChecksum);
-    std::fprintf(f, "%s\"telemetry_off_ms\": %.3f,\n", indent,
-                 m.telemetryOffMs);
-    std::fprintf(f, "%s\"telemetry_on_ms\": %.3f,\n", indent,
-                 m.telemetryOnMs);
-    std::fprintf(f, "%s\"telemetry_overhead_pct\": %.2f,\n", indent,
-                 m.telemetryOverheadPct);
-    std::fprintf(f, "%s\"telemetry_rss_delta_mb\": %.2f,\n", indent,
-                 m.telemetryRssDeltaMb);
-    std::fprintf(f, "%s\"bank_lanes\": %.0f,\n", indent, m.bankLanes);
-    std::fprintf(f, "%s\"bank_steps_per_sec\": %.0f,\n", indent,
-                 m.bankStepsPerSec);
-    std::fprintf(f, "%s\"bank_ns_per_lane_step\": %.2f,\n", indent,
-                 m.bankNsPerLaneStep);
-    std::fprintf(f, "%s\"bank_speedup_vs_scalar\": %.2f,\n", indent,
-                 m.bankSpeedupVsScalar);
-    std::fprintf(f, "%s\"bank_checksum\": %.17g,\n", indent,
-                 m.bankChecksum);
-    std::fprintf(f, "%s\"bank_saturated_ns_per_lane_step\": %.2f,\n",
-                 indent, m.bankSaturatedNsPerLaneStep);
-    std::fprintf(f, "%s\"bank_saturated_checksum\": %.17g,\n", indent,
-                 m.bankSaturatedChecksum);
-    std::fprintf(f, "%s\"peak_rss_mb\": %.2f\n", indent, m.peakRssMbVal);
+    const char *sep = "";
+    for (const Field &fd : kFields) {
+        std::fprintf(f, "%s%s\"%s\": ", sep, indent, fd.key);
+        std::fprintf(f, fd.format, m.*fd.member);
+        sep = ",\n";
+    }
+    std::fprintf(f, "\n");
 }
 
-/** One serial FixedController run for the telemetry A/B loop. */
-double
-telemetryProbeRun(size_t probe_epochs)
+/**
+ * Read the first metrics block (the "current" one) of a previous
+ * BENCH_hotpath.json at @p path into @p m. Fields an older file lacks
+ * read as 0, which keeps the written JSON valid. False when the file
+ * has no controller_ns_per_step, i.e. is not a hotpath result.
+ */
+bool
+readBaseline(const std::string &path, Metrics &m)
 {
-    const KnobSpace knobs(false);
-    SimPlant plant(Spec2006Suite::byName("namd"), knobs);
-    FixedController fixed(baselineSettings());
-    DriverConfig dcfg;
-    dcfg.epochs = probe_epochs;
-    EpochDriver driver(plant, fixed, dcfg);
-    const double t0 = nowMs();
-    (void)driver.run(baselineSettings());
-    return nowMs() - t0;
+    std::ifstream in(path);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    const std::string text = ss.str();
+    for (const Field &fd : kFields) {
+        const double v = findNumber(text, fd.key);
+        m.*fd.member = std::isfinite(v) ? v : 0.0;
+    }
+    return std::isfinite(findNumber(text, "controller_ns_per_step"));
+}
+
+/** Value of --apps / --epochs: a positive integer, or fatal. */
+size_t
+parsePositive(const char *text, const char *flag)
+{
+    char *end = nullptr;
+    const long long v = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || v < 1)
+        fatal(flag, ": expected a positive integer, got '", text, "'");
+    return static_cast<size_t>(v);
 }
 
 } // namespace
@@ -208,8 +216,9 @@ main(int argc, char **argv)
     size_t epochs = 2000;
     size_t micro_steps = 500000;
     std::string baseline_path;
-    exec::SweepOptions sweep_opt;
-    sweep_opt.progress = true;
+    // --apps, --epochs and --baseline are this bench's own; every
+    // other flag goes to the sweep parser the other benches use.
+    std::vector<char *> sweep_argv{argv[0]};
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto next = [&]() -> const char * {
@@ -217,21 +226,17 @@ main(int argc, char **argv)
                 fatal("missing value after ", arg);
             return argv[++i];
         };
-        if (arg == "--jobs" || arg == "-j")
-            sweep_opt.jobs = static_cast<unsigned>(std::atoi(next()));
-        else if (arg == "--apps")
-            n_apps = static_cast<size_t>(std::atol(next()));
+        if (arg == "--apps")
+            n_apps = parsePositive(next(), "--apps");
         else if (arg == "--epochs")
-            epochs = static_cast<size_t>(std::atol(next()));
+            epochs = parsePositive(next(), "--epochs");
         else if (arg == "--baseline")
             baseline_path = next();
-        else if (arg == "--telemetry")
-            sweep_opt.telemetry = next();
         else
-            fatal("unknown argument: ", arg,
-                  " (--jobs N --apps N --epochs N --baseline FILE "
-                  "--telemetry OUT.json)");
+            sweep_argv.push_back(argv[i]);
     }
+    exec::SweepOptions sweep_opt = benchSweepOptions(
+        static_cast<int>(sweep_argv.size()), sweep_argv.data());
 
     banner("Hot-path throughput (fig09-style sweep + controller microloop)");
     Metrics cur;
@@ -240,7 +245,8 @@ main(int argc, char **argv)
     // (the runner arms the trace buffer and writes the reports). The
     // buffer is sized from the configured sweep length rather than the
     // legacy fixed capacity, so telemetry RSS scales with the run.
-    sweep_opt.traceEpochs = n_apps * epochs;
+    if (sweep_opt.traceEpochs == 0)
+        sweep_opt.traceEpochs = n_apps * epochs;
     exec::SweepRunner runner(sweep_opt);
 
     // 1. Cold design flow (system identification + LQG design + RSA).
@@ -384,7 +390,7 @@ main(int argc, char **argv)
             sum += bank.command(l, 0);
         const double lane_steps =
             static_cast<double>(lanes) * static_cast<double>(iters);
-        cur.bankLanes = static_cast<double>(lanes);
+        cur.bankLaneCount = static_cast<double>(lanes);
         cur.bankStepsPerSec = lane_steps / (best_ms / 1000.0);
         cur.bankNsPerLaneStep = best_ms * 1e6 / lane_steps;
         // The tracked ratio divides by the historical scalar loop
@@ -556,118 +562,11 @@ main(int argc, char **argv)
                     cur.analyticSweepChecksum);
     }
 
-    // 4. Telemetry ON-vs-OFF A/B: serial FixedController loops with
-    // the trace buffer disarmed, then armed, so the trajectory tracks
-    // what arming costs in wall time and resident set. Each side takes
-    // its best of three: the overhead is a difference of two wall
-    // measurements in the same percent-scale range as this box's
-    // scheduler jitter, and the single-shot version of this block
-    // reported a nonsensical negative overhead. With
-    // MIMOARCH_TELEMETRY=0 (or when --telemetry armed the buffer for
-    // the whole process) the two passes are identical by construction.
-    {
-        telemetry::Span span("telemetry-ab", "bench");
-        const size_t probe_epochs = 20000;
-        const bool externally_armed = telemetry::trace().enabled();
-        const auto min_of_3 = [&] {
-            double best = telemetryProbeRun(probe_epochs);
-            for (int rep = 1; rep < 3; ++rep)
-                best = std::min(best, telemetryProbeRun(probe_epochs));
-            return best;
-        };
-        cur.telemetryOffMs = min_of_3();
-        const double rss_before = peakRssMb();
-        if (!externally_armed)
-            telemetry::trace().start(
-                telemetry::traceCapacityForEpochs(3 * probe_epochs));
-        cur.telemetryOnMs = min_of_3();
-        if (!externally_armed)
-            telemetry::trace().stop();
-        cur.telemetryRssDeltaMb = peakRssMb() - rss_before;
-        cur.telemetryOverheadPct =
-            cur.telemetryOffMs > 0.0
-                ? (cur.telemetryOnMs - cur.telemetryOffMs) /
-                      cur.telemetryOffMs * 100.0
-                : 0.0;
-        std::printf("telemetry A/B: %10.1f ms off, %.1f ms on "
-                    "(%+.1f%%, +%.2f MB peak RSS)%s\n",
-                    cur.telemetryOffMs, cur.telemetryOnMs,
-                    cur.telemetryOverheadPct, cur.telemetryRssDeltaMb,
-                    externally_armed ? " [trace already armed]" : "");
-    }
-
     // Optional baseline for the trajectory.
     Metrics base;
     bool have_baseline = false;
     if (!baseline_path.empty()) {
-        std::ifstream in(baseline_path);
-        if (in.good()) {
-            std::ostringstream ss;
-            ss << in.rdbuf();
-            const std::string text = ss.str();
-            base.designFlowMs = findNumber(text, "design_flow_ms");
-            base.controllerNsPerStep =
-                findNumber(text, "controller_ns_per_step");
-            base.controllerChecksum =
-                findNumber(text, "controller_checksum");
-            base.controllerSteadyNsPerStep =
-                findNumber(text, "controller_steady_ns_per_step");
-            base.controllerSteadyChecksum =
-                findNumber(text, "controller_steady_checksum");
-            base.sweepWallMs = findNumber(text, "sweep_wall_ms");
-            base.epochsPerSec = findNumber(text, "epochs_per_sec");
-            base.sweepChecksum = findNumber(text, "sweep_checksum");
-            base.sweepSkippedCycleFrac =
-                findNumber(text, "sweep_skipped_cycle_frac");
-            base.analyticCalibrationMs =
-                findNumber(text, "analytic_calibration_ms");
-            base.analyticSweepWallMs =
-                findNumber(text, "analytic_sweep_wall_ms");
-            base.analyticEpochsPerSec =
-                findNumber(text, "analytic_epochs_per_sec");
-            base.analyticSpeedupVsCycle =
-                findNumber(text, "analytic_speedup_vs_cycle");
-            base.analyticSweepChecksum =
-                findNumber(text, "analytic_sweep_checksum");
-            base.peakRssMbVal = findNumber(text, "peak_rss_mb");
-            base.telemetryOffMs = findNumber(text, "telemetry_off_ms");
-            base.telemetryOnMs = findNumber(text, "telemetry_on_ms");
-            base.telemetryOverheadPct =
-                findNumber(text, "telemetry_overhead_pct");
-            base.telemetryRssDeltaMb =
-                findNumber(text, "telemetry_rss_delta_mb");
-            base.bankLanes = findNumber(text, "bank_lanes");
-            base.bankStepsPerSec =
-                findNumber(text, "bank_steps_per_sec");
-            base.bankNsPerLaneStep =
-                findNumber(text, "bank_ns_per_lane_step");
-            base.bankSpeedupVsScalar =
-                findNumber(text, "bank_speedup_vs_scalar");
-            base.bankChecksum = findNumber(text, "bank_checksum");
-            base.bankSaturatedNsPerLaneStep =
-                findNumber(text, "bank_saturated_ns_per_lane_step");
-            base.bankSaturatedChecksum =
-                findNumber(text, "bank_saturated_checksum");
-            // Baselines written before the telemetry A/B, bank or
-            // skip-fraction fields lack them; zero keeps the JSON valid.
-            for (double *v :
-                 {&base.telemetryOffMs, &base.telemetryOnMs,
-                  &base.telemetryOverheadPct, &base.telemetryRssDeltaMb,
-                  &base.controllerSteadyNsPerStep,
-                  &base.controllerSteadyChecksum,
-                  &base.analyticCalibrationMs, &base.analyticSweepWallMs,
-                  &base.analyticEpochsPerSec,
-                  &base.analyticSpeedupVsCycle,
-                  &base.analyticSweepChecksum, &base.bankLanes,
-                  &base.bankStepsPerSec, &base.bankNsPerLaneStep,
-                  &base.bankSpeedupVsScalar, &base.bankChecksum,
-                  &base.bankSaturatedNsPerLaneStep,
-                  &base.bankSaturatedChecksum,
-                  &base.sweepSkippedCycleFrac})
-                if (!std::isfinite(*v))
-                    *v = 0.0;
-            have_baseline = std::isfinite(base.controllerNsPerStep);
-        }
+        have_baseline = readBaseline(baseline_path, base);
         if (!have_baseline)
             std::fprintf(stderr, "warning: could not read baseline %s\n",
                          baseline_path.c_str());

@@ -201,8 +201,7 @@ BENCHMARK(BM_DareSolve4x4);
 
 // --- Telemetry primitives: the per-epoch instrumentation budget. ---
 // These bound what the loop.* metrics in harness.cpp cost per epoch
-// (a handful of counter adds + histogram records + one Span). With
-// MIMOARCH_TELEMETRY=OFF every one of these collapses to a no-op.
+// (a handful of counter adds + histogram records + one Span).
 
 void
 BM_TelemetryCounterAdd(benchmark::State &state)

@@ -221,7 +221,7 @@ class EpochDriver
 
     // Loop telemetry (see src/telemetry). Registered once at
     // construction; recording in the epoch loop is a few relaxed
-    // atomics — and compiles away entirely with MIMOARCH_TELEMETRY=0.
+    // atomics.
     telemetry::Counter *tmEpochs_;
     telemetry::Counter *tmKnobMoves_;
     telemetry::Counter *tmNonfiniteSkips_;

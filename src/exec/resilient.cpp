@@ -40,17 +40,6 @@ failureCauseName(FailureCause cause)
 
 namespace {
 
-/** Monotonic ns independent of the telemetry layer (which reads as 0
- *  when compiled out — the watchdog must keep working regardless). */
-uint64_t
-monoNs()
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
 void
 appendEscaped(std::string &out, const std::string &s)
 {
@@ -214,8 +203,8 @@ class Engine
             f.timedOut = false;
             f.deadlineNs =
                 policy_.jobTimeoutS > 0.0
-                    ? monoNs() + static_cast<uint64_t>(
-                                     policy_.jobTimeoutS * 1e9)
+                    ? telemetry::nowNs() +
+                          static_cast<uint64_t>(policy_.jobTimeoutS * 1e9)
                     : 0;
         }
 
@@ -361,8 +350,8 @@ class Engine
     void
     cancellableSleep(uint32_t ms, const CancellationToken &token)
     {
-        const uint64_t until = monoNs() + uint64_t{ms} * 1000000;
-        while (monoNs() < until) {
+        const uint64_t until = telemetry::nowNs() + uint64_t{ms} * 1000000;
+        while (telemetry::nowNs() < until) {
             if (token.canceled())
                 throw CanceledError("canceled during chaos delay");
             std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -390,8 +379,8 @@ class Engine
             0.5 + 0.5 * static_cast<double>(h.value() >> 11) *
                       (1.0 / 9007199254740992.0);
         const uint64_t until =
-            monoNs() + static_cast<uint64_t>(scaled * jitter * 1e9);
-        while (monoNs() < until &&
+            telemetry::nowNs() + static_cast<uint64_t>(scaled * jitter * 1e9);
+        while (telemetry::nowNs() < until &&
                !aborting_.load(std::memory_order_relaxed)) {
             std::this_thread::sleep_for(std::chrono::milliseconds(2));
         }
@@ -408,7 +397,7 @@ class Engine
             wdCv_.wait_for(lk, granule);
             if (wdStop_)
                 return;
-            const uint64_t now = monoNs();
+            const uint64_t now = telemetry::nowNs();
             for (size_t i = 0; i < flights_.size(); ++i) {
                 Flight &f = flights_[i];
                 if (f.active && !f.timedOut && f.deadlineNs != 0 &&
@@ -499,10 +488,8 @@ class Engine
             return;
         }
         std::string out;
-        out += "{\n\"schema\": 2,\n";
+        out += "{\n\"schema\": 3,\n";
         out += "\"jobs\": " + std::to_string(report.jobs) + ",\n";
-        out += "\"bank_lanes\": " +
-               std::to_string(policy_.bankLanes) + ",\n";
         out += "\"completed\": " + std::to_string(report.completed) +
                ",\n";
         out += "\"resumed_from_journal\": " +

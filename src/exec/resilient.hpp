@@ -156,13 +156,6 @@ struct ResilientPolicy
     /** Non-empty: write a machine-readable failure/completion report
      *  here (atomic tmp+rename), always — even for a clean sweep. */
     std::string failureReportPath;
-    /**
-     * Lanes per ControllerBank when each job drives a fleet of loops
-     * (0 = scalar jobs). Recorded in the failure report ("bank_lanes",
-     * schema >= 2) so resilience campaigns over fleets stay
-     * diagnosable: a failed fleet job loses bankLanes loops, not one.
-     */
-    uint64_t bankLanes = 0;
 };
 
 /** What a resilient sweep did (one entry per permanent failure). */

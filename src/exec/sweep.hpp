@@ -49,8 +49,7 @@ struct SweepOptions
      * Non-empty arms the global telemetry trace buffer for the
      * runner's lifetime and, at destruction, writes a Chrome trace to
      * this path plus a flat metrics sidecar next to it (see
-     * src/telemetry/export.hpp). Ignored (with a warning) when the
-     * telemetry layer is compiled out.
+     * src/telemetry/export.hpp).
      */
     std::string telemetry;
     /**

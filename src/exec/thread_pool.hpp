@@ -90,7 +90,7 @@ class ThreadPool
 
     // Pool telemetry: queue latency (submit -> claim) and task runtime
     // histograms, plus per-worker utilization gauges written at
-    // shutdown. All no-ops when MIMOARCH_TELEMETRY=0.
+    // shutdown.
     telemetry::Histogram *tmQueueNs_;
     telemetry::Histogram *tmTaskNs_;
     telemetry::Counter *tmTasks_;

@@ -103,10 +103,10 @@ SurrogateModel calibrateSurrogate(const AppSpec &app,
 
 /**
  * Allocation-free stepper for one instance of a surrogate's dynamics:
- * physical input in, noisy physical output out. Reused by
- * SurrogatePlant (one instance) and the analytic fleet tier in
- * exec::runFleetJob (one per lane). The model is borrowed and must
- * outlive the stepper.
+ * physical input in, noisy physical output out. SurrogatePlant wraps
+ * one instance; any caller that needs many instances of one model
+ * (one per loop) can step them directly. The model is borrowed and
+ * must outlive the stepper.
  */
 class SurrogateDynamics
 {

@@ -1,13 +1,10 @@
 #include "telemetry/export.hpp"
 
-#include "common/logging.hpp"
-
-#if MIMOARCH_TELEMETRY
-
 #include <cinttypes>
 #include <cstdio>
 
 #include "common/fileio.hpp"
+#include "common/logging.hpp"
 
 namespace mimoarch::telemetry {
 
@@ -209,18 +206,3 @@ writeReports(const std::string &path)
 }
 
 } // namespace mimoarch::telemetry
-
-#else // !MIMOARCH_TELEMETRY
-
-namespace mimoarch::telemetry {
-
-void
-writeReports(const std::string &path)
-{
-    warn("telemetry compiled out (MIMOARCH_TELEMETRY=0); not writing ",
-         path);
-}
-
-} // namespace mimoarch::telemetry
-
-#endif // MIMOARCH_TELEMETRY

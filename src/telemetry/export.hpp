@@ -23,8 +23,6 @@
 
 namespace mimoarch::telemetry {
 
-#if MIMOARCH_TELEMETRY
-
 /** Chrome trace JSON for @p buffer's events (stable byte-for-byte). */
 std::string renderChromeTrace(const TraceBuffer &buffer);
 
@@ -37,23 +35,5 @@ std::string renderMetricsJson(const Registry &reg);
  * Stops the trace buffer first so late events cannot tear the export.
  */
 void writeReports(const std::string &path);
-
-#else
-
-inline std::string
-renderChromeTrace(const TraceBuffer &)
-{
-    return {};
-}
-
-inline std::string
-renderMetricsJson(const Registry &)
-{
-    return {};
-}
-
-void writeReports(const std::string &path); // warns: compiled out
-
-#endif
 
 } // namespace mimoarch::telemetry

@@ -1,7 +1,5 @@
 #include "telemetry/telemetry.hpp"
 
-#if MIMOARCH_TELEMETRY
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -245,5 +243,3 @@ trace()
 }
 
 } // namespace mimoarch::telemetry
-
-#endif // MIMOARCH_TELEMETRY

@@ -33,7 +33,7 @@
 #include "control/bank.hpp"
 #include "control/lqg.hpp"
 #include "control/statespace.hpp"
-#include "core/lane_trace.hpp"
+#include "lane_trace.hpp"
 #include "robustness/supervisor.hpp"
 
 namespace mimoarch {

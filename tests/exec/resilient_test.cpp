@@ -296,8 +296,8 @@ TEST(Resilient, FailureReportIsWrittenEvenWhenTolerated)
             return ctx.index;
         });
     const std::string report = readAll(path);
-    EXPECT_NE(report.find("\"schema\": 2"), std::string::npos);
-    EXPECT_NE(report.find("\"bank_lanes\": 0"), std::string::npos);
+    EXPECT_NE(report.find("\"schema\": 3"), std::string::npos);
+    EXPECT_EQ(report.find("bank_lanes"), std::string::npos);
     EXPECT_NE(report.find("\"jobs\": 4"), std::string::npos);
     EXPECT_NE(report.find("\"completed\": 3"), std::string::npos);
     EXPECT_NE(report.find("\"app\": \"app2\""), std::string::npos);
@@ -313,7 +313,6 @@ TEST(Resilient, CleanSweepAlsoWritesTheReport)
     std::remove(path.c_str());
     ResilientPolicy policy;
     policy.failureReportPath = path;
-    policy.bankLanes = 4096; // Fleet campaign: each job drives a bank.
     SweepRunner runner = makeRunner(2, policy);
     const auto outcome = runner.mapJobs<uint64_t>(
         makeKeys(3), 1,
@@ -321,7 +320,8 @@ TEST(Resilient, CleanSweepAlsoWritesTheReport)
     EXPECT_TRUE(outcome.report.complete());
     const std::string report = readAll(path);
     EXPECT_NE(report.find("\"jobs\": 3"), std::string::npos);
-    EXPECT_NE(report.find("\"bank_lanes\": 4096"), std::string::npos);
+    EXPECT_NE(report.find("\"schema\": 3"), std::string::npos);
+    EXPECT_EQ(report.find("bank_lanes"), std::string::npos);
     EXPECT_NE(report.find("\"completed\": 3"), std::string::npos);
     EXPECT_NE(report.find("\"failures\": ["), std::string::npos);
     std::remove(path.c_str());

@@ -64,6 +64,22 @@ TEST(ParseSweepArgs, AcceptsEveryJobsSpelling)
     }
 }
 
+TEST(ParseSweepArgs, RejectsOutOfRangeJobCounts)
+{
+    const std::vector<std::vector<std::string>> cases = {
+        {"bench", "--jobs", "0"},    {"bench", "--jobs", "-1"},
+        {"bench", "--jobs", "4097"}, {"bench", "--jobs", "abc"},
+        {"bench", "-j0"},
+    };
+    for (std::vector<std::string> args : cases) {
+        auto argv = argvOf(args);
+        EXPECT_EXIT(
+            parseSweepArgs(static_cast<int>(argv.size()), argv.data()),
+            ::testing::ExitedWithCode(1), "job count in \\[1, 4096\\]")
+            << args.back();
+    }
+}
+
 TEST(ParseSweepArgs, ParsesResilienceFlags)
 {
     std::vector<std::string> args = {

@@ -1,13 +1,13 @@
 /**
  * @file
  * End-to-end telemetry overhead guard: the same epoch loop (SimPlant +
- * FixedController, the hotpath bench's A/B scenario) timed with the
- * trace disarmed and armed. The per-epoch instrumentation is a handful
+ * FixedController) timed with the trace disarmed and armed. The per-epoch instrumentation is a handful
  * of counter adds and one Span, so the armed loop must stay within a
  * generous multiple of the disarmed one — this only exists to catch a
  * regression that puts a lock, allocation, or syscall on the per-epoch
- * path, not to measure the real overhead (bench/hotpath_throughput
- * reports that in BENCH_hotpath.json).
+ * path, not to measure the real overhead (perfbench's
+ * telemetry.armed_ns_per_epoch measures that over interleaved
+ * armed/disarmed pairs).
  */
 
 #include <gtest/gtest.h>

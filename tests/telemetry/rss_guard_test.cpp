@@ -5,9 +5,10 @@
  * from the configured sweep length (telemetry::traceCapacityForEpochs)
  * rather than a fixed worst-case preallocation, so the armed sweep's
  * peak RSS must stay within 2x the disarmed sweep's — the ROADMAP
- * guard for "telemetry that scales with the workload". The real
- * ON-vs-OFF wall/RSS deltas are tracked in BENCH_hotpath.json; this
- * tier-1 test only pins the memory bound.
+ * guard for "telemetry that scales with the workload". The wall-time
+ * cost of arming is measured by perfbench's
+ * telemetry.armed_ns_per_epoch over interleaved armed/disarmed pairs;
+ * this tier-1 test only pins the memory bound.
  *
  * Ordering is load-bearing: getrusage() peak RSS is monotonic over a
  * process's life, so the disarmed sweep MUST run first — if the armed
