@@ -472,11 +472,12 @@ main(int argc, char **argv)
             dcfg.optimizer.metricExponent = 2;
             dcfg.cancel = &ctx.cancel;
             EpochDriver driver(plant, *mimo, dcfg);
-            const double exd = driver.run(baselineSettings()).exdMetric(2);
+            const double job_exd =
+                driver.run(baselineSettings()).exdMetric(2);
             const Core &core = plant.processor().core();
             sim_cycles += core.counters().cycles;
             skipped_cycles += core.skippedCycles();
-            return exd;
+            return job_exd;
         })
             .results;
     cur.sweepWallMs = nowMs() - t_sweep;

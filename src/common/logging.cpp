@@ -1,28 +1,9 @@
 #include "common/logging.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace mimoarch {
-
-namespace {
-// Atomic so sweep worker threads can warn() while the main thread
-// owns the level; messages themselves go through stdio, which locks.
-std::atomic<LogLevel> g_level{LogLevel::Normal};
-} // namespace
-
-LogLevel
-logLevel()
-{
-    return g_level.load(std::memory_order_relaxed);
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level.store(level, std::memory_order_relaxed);
-}
 
 namespace detail {
 
@@ -43,15 +24,13 @@ panicImpl(const char *, int, const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (logLevel() != LogLevel::Quiet)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 void
 informImpl(const std::string &msg)
 {
-    if (logLevel() != LogLevel::Quiet)
-        std::fprintf(stdout, "info: %s\n", msg.c_str());
+    std::fprintf(stdout, "info: %s\n", msg.c_str());
 }
 
 } // namespace detail

@@ -19,15 +19,6 @@
 
 namespace mimoarch {
 
-/** Verbosity levels for runtime logging. */
-enum class LogLevel { Quiet, Normal, Verbose };
-
-/** Get the global log level (default: Normal). */
-LogLevel logLevel();
-
-/** Set the global log level. */
-void setLogLevel(LogLevel level);
-
 namespace detail {
 
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
@@ -71,7 +62,7 @@ warn(Args &&...args)
     detail::warnImpl(detail::format(std::forward<Args>(args)...));
 }
 
-/** Print an informational status message (suppressed when Quiet). */
+/** Print an informational status message. */
 template <typename... Args>
 void
 inform(Args &&...args)

@@ -223,7 +223,6 @@ EpochDriver::stepEpoch()
     // periodic restart) triggers a new one (§V).
     if (opt_ && y_finite) {
         const bool phase_change =
-            config_.usePhaseDetector &&
             phases_->observe(obs_.ipc, obs_.l2Mpki);
         const bool periodic = t == 0 ||
             (config_.optimizerPeriodicRestart &&

@@ -101,7 +101,6 @@ struct DriverConfig
     size_t epochs = 3000;
     size_t warmupEpochs = 150;     //!< Fast-forward before control.
     size_t errorSkipEpochs = 200;  //!< Transient excluded from errors.
-    bool recordTrace = false;
 
     /**
      * Which plant tier this driver is closing the loop around. Purely
@@ -123,7 +122,6 @@ struct DriverConfig
      * (the period then only paces the very first search).
      */
     bool optimizerPeriodicRestart = false;
-    bool usePhaseDetector = true;
     PhaseDetectorConfig phaseDetector{};
 
     /**
@@ -183,7 +181,7 @@ class EpochDriver
     /** Epochs stepped since begin(). */
     size_t epochsDone() const { return epoch_; }
 
-    /** Per-epoch trace (only filled when recordTrace). */
+    /** Per-epoch trace. */
     const EpochTrace &trace() const { return trace_; }
 
     Plant &plant() { return plant_; }

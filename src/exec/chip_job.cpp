@@ -79,7 +79,6 @@ runChipJob(const ChipJobConfig &cfg, const JobContext &ctx)
     DriverConfig dcfg;
     dcfg.epochs = cfg.epochs;
     dcfg.errorSkipEpochs = cfg.errorSkipEpochs;
-    dcfg.recordTrace = true;
     dcfg.fidelity = cfg.cfg->fidelity;
     dcfg.cancel = &ctx.cancel;
 

@@ -78,11 +78,10 @@ struct SweepOptions
  * --fidelity cycle|analytic. Resilience:
  * --retries N,
  * --job-timeout S, --max-failures N, --fail-fast, --resume PATH,
- * --failure-report PATH. Chaos (fault-injection builds only):
+ * --failure-report PATH. Chaos (every build type):
  * --chaos-seed N, --chaos-exception-rate X, --chaos-delay-rate X,
  * --chaos-invalid-rate X, --chaos-delay-ms N. Unknown arguments are
- * fatal (benches take no other arguments), as are --chaos-* flags in
- * builds that prune the injector (MIMOARCH_CHAOS=0).
+ * fatal (benches take no other arguments).
  */
 SweepOptions parseSweepArgs(int argc, char **argv);
 

@@ -379,7 +379,6 @@ TEST(Resilient, ResultsAreWorkerCountInvariantUnderRetries)
     }
 }
 
-#if MIMOARCH_CHAOS
 TEST(Chaos, SampleIsAPureFunctionOfSeedJobAndAttempt)
 {
     ChaosConfig cfg;
@@ -450,7 +449,6 @@ TEST(Chaos, InjectedSweepDigestsIdenticalToClean)
     EXPECT_GT(outcome.report.chaosInjections, 0u);
     EXPECT_EQ(outcome.results, reference);
 }
-#endif // MIMOARCH_CHAOS
 
 } // namespace
 } // namespace mimoarch::exec

@@ -97,7 +97,6 @@ TEST(ParseSweepArgs, ParsesResilienceFlags)
     EXPECT_EQ(opt.resilient.failureReportPath, "rep.json");
 }
 
-#if MIMOARCH_CHAOS
 TEST(ParseSweepArgs, ParsesChaosFlags)
 {
     std::vector<std::string> args = {
@@ -114,7 +113,6 @@ TEST(ParseSweepArgs, ParsesChaosFlags)
     EXPECT_EQ(opt.resilient.chaos.delayMs, 20u);
     EXPECT_TRUE(opt.resilient.chaos.any());
 }
-#endif
 
 TEST(SweepRunner, ReportsAtLeastOneJob)
 {
