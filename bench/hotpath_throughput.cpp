@@ -8,8 +8,6 @@
  *   - design_flow_ms          cold DesignCache system-identification run
  *   - controller_ns_per_step  LqgServoController::step() on a dim-4 model
  *   - controller_steady_ns_per_step  same, unsaturated steady regime
- *   - bank_steps_per_sec      ControllerBank aggregate lane-steps/s
- *   - bank_speedup_vs_scalar  bank vs steady scalar, same run
  *   - sweep_wall_ms           wall-clock of the sweep
  *   - epochs_per_sec          controlled epochs per second across workers
  *   - sweep_skipped_cycle_frac  share of the sweep's simulated cycles the
@@ -18,6 +16,8 @@
  *
  * Checksums (bit-exact sums of controller commands and sweep metrics)
  * ride along so a perf change that moves numerics is caught here too.
+ * tests/control/step_latency_guard_test.cpp reruns the two controller
+ * microloops and asserts their checksums, so it must change with them.
  *
  * Pass --baseline <previous BENCH_hotpath.json> to embed that file's
  * numbers as the "baseline" block and print speedup ratios — this is
@@ -40,7 +40,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "control/bank.hpp"
+#include "dim4_model.hpp"
 #include "exec/design_cache.hpp"
 #include "exec/plant_factory.hpp"
 #include "telemetry/telemetry.hpp"
@@ -66,26 +66,6 @@ peakRssMb()
     if (getrusage(RUSAGE_SELF, &ru) != 0)
         return 0.0;
     return static_cast<double>(ru.ru_maxrss) / 1024.0; // KiB on Linux
-}
-
-/** The micro_overhead dim-4 model, kept here so the macro bench is
- *  self-contained and its ns/step series is comparable over time. */
-StateSpaceModel
-dim4Model()
-{
-    StateSpaceModel m;
-    m.a = Matrix{{0.55, 0.2, 0.1, 0.0},
-                 {0.1, 0.5, 0.0, 0.1},
-                 {0.05, 0.0, 0.4, 0.1},
-                 {0.0, 0.05, 0.1, 0.35}};
-    m.b = Matrix{{0.4, 0.1}, {0.2, 0.3}, {0.1, 0.05}, {0.05, 0.1}};
-    m.c = Matrix{{1.0, 0.0, 0.2, 0.1}, {0.0, 1.0, 0.1, 0.2}};
-    m.d = Matrix{{0.1, 0.02}, {0.15, 0.01}};
-    m.qn = Matrix::identity(4) * 1e-3;
-    m.rn = Matrix::identity(2) * 1e-2;
-    m.inputScaling = SignalScaling::identity(2);
-    m.outputScaling = SignalScaling::identity(2);
-    return m;
 }
 
 /** First numeric value following "<key>": in @p text, or NaN. */
@@ -115,13 +95,6 @@ struct Metrics
     double analyticEpochsPerSec = 0.0;
     double analyticSpeedupVsCycle = 0.0; //!< epochs/s ratio, same run.
     double analyticSweepChecksum = 0.0;
-    double bankLaneCount = 0.0;       //!< ControllerBank lane count.
-    double bankStepsPerSec = 0.0;     //!< Aggregate lane-steps/s.
-    double bankNsPerLaneStep = 0.0;
-    double bankSpeedupVsScalar = 0.0; //!< vs controller_ns_per_step.
-    double bankChecksum = 0.0;
-    double bankSaturatedNsPerLaneStep = 0.0; //!< Every step clipping.
-    double bankSaturatedChecksum = 0.0;
     double peakRssMbVal = 0.0;
 };
 
@@ -153,14 +126,6 @@ constexpr Field kFields[] = {
     {"analytic_speedup_vs_cycle", &Metrics::analyticSpeedupVsCycle,
      "%.1f"},
     {"analytic_sweep_checksum", &Metrics::analyticSweepChecksum, "%.17g"},
-    {"bank_lanes", &Metrics::bankLaneCount, "%.0f"},
-    {"bank_steps_per_sec", &Metrics::bankStepsPerSec, "%.0f"},
-    {"bank_ns_per_lane_step", &Metrics::bankNsPerLaneStep, "%.2f"},
-    {"bank_speedup_vs_scalar", &Metrics::bankSpeedupVsScalar, "%.2f"},
-    {"bank_checksum", &Metrics::bankChecksum, "%.17g"},
-    {"bank_saturated_ns_per_lane_step",
-     &Metrics::bankSaturatedNsPerLaneStep, "%.2f"},
-    {"bank_saturated_checksum", &Metrics::bankSaturatedChecksum, "%.17g"},
     {"peak_rss_mb", &Metrics::peakRssMbVal, "%.2f"},
 };
 
@@ -269,8 +234,7 @@ main(int argc, char **argv)
     //   - "steady": reference equal to the measurement with wide
     //     limits — zero tracking error, stable integrator, commands at
     //     an interior fixed point at any run length. This is the
-    //     regime a converged fleet spends its life in, and the scalar
-    //     side of the bank speedup ratio below.
+    //     regime a converged controller spends its life in.
     LqgWeights w;
     w.outputWeights = {10.0, 10000.0};
     w.inputWeights = {1000.0, 50.0};
@@ -320,9 +284,7 @@ main(int argc, char **argv)
                     "checksum %.17g)\n",
                     cur.controllerNsPerStep, micro_steps, sum);
 
-        // Min-of-3 repetitions: the speedup ratio below divides two
-        // measurements on a noisy single-core box, so each side takes
-        // its best of three to keep scheduler jitter out of the ratio.
+        // Min-of-3, as for the saturated loop.
         LqgServoController steady(model, w, wideLim);
         steady.setReference(steadyRef);
         for (size_t i = 0; i < 1000; ++i)
@@ -350,99 +312,6 @@ main(int argc, char **argv)
         std::printf("controller:    %10.1f ns/step steady (%zu steps, "
                     "checksum %.17g)\n",
                     cur.controllerSteadyNsPerStep, micro_steps, ssum);
-    }
-
-    // 2b. Batched fleet microloop: a ControllerBank of 4096 lanes of
-    // the same dim-4 design (one shared-gain group), stepped in
-    // lock-step for the same total lane-step count as the scalar
-    // microloop, at the *steady* operating point — the regime where
-    // the bank's fused two-pass fast path runs. bank_steps_per_sec is
-    // the aggregate throughput; the speedup divides it by the steady
-    // scalar loop's steps/s measured in the same run, so both sides of
-    // the ratio see the same machine state. The checksum sums every
-    // lane's first command, so a numerics change in the batched path
-    // moves a tracked number (every lane is bit-equal to the scalar
-    // controller — see tests/control/bank_equivalence_test).
-    {
-        telemetry::Span span("bank-microloop", "bench");
-        const size_t lanes = 4096;
-        ControllerBank bank;
-        for (size_t l = 0; l < lanes; ++l) {
-            bank.addLane(model, w, wideLim);
-            bank.setReference(l, steadyRef);
-            bank.setMeasurement(l, y);
-        }
-        for (size_t i = 0; i < 20; ++i)
-            bank.stepAll();
-        const size_t iters = 4 * micro_steps / lanes + 1;
-        // Min-of-3 to match the steady scalar loop (see above).
-        double best_ms = 0.0;
-        for (int rep = 0; rep < 3; ++rep) {
-            const double t0 = nowMs();
-            for (size_t i = 0; i < iters; ++i)
-                bank.stepAll();
-            const double el = nowMs() - t0;
-            if (rep == 0 || el < best_ms)
-                best_ms = el;
-        }
-        double sum = 0.0;
-        for (size_t l = 0; l < lanes; ++l)
-            sum += bank.command(l, 0);
-        const double lane_steps =
-            static_cast<double>(lanes) * static_cast<double>(iters);
-        cur.bankLaneCount = static_cast<double>(lanes);
-        cur.bankStepsPerSec = lane_steps / (best_ms / 1000.0);
-        cur.bankNsPerLaneStep = best_ms * 1e6 / lane_steps;
-        // The tracked ratio divides by the historical scalar loop
-        // (controller_ns_per_step, the 126 ns floor the bank set out
-        // to amortize); the steady-vs-steady ratio is printed next to
-        // it and derivable from the raw numbers in the JSON.
-        const double scalar_steps_per_sec =
-            1e9 / cur.controllerNsPerStep;
-        cur.bankSpeedupVsScalar =
-            cur.bankStepsPerSec / scalar_steps_per_sec;
-        cur.bankChecksum = sum;
-        std::printf("bank:          %10.1f ns/lane-step steady at N=%zu "
-                    "(%.2fM steps/s, %.1fx scalar, %.1fx steady scalar, "
-                    "checksum %.17g)\n",
-                    cur.bankNsPerLaneStep, lanes,
-                    cur.bankStepsPerSec / 1e6, cur.bankSpeedupVsScalar,
-                    cur.controllerSteadyNsPerStep /
-                        cur.bankNsPerLaneStep,
-                    sum);
-    }
-
-    // 2c. The same bank on the historical saturated workload (the
-    // pre-steady-split bank microloop, kept verbatim): every step
-    // clips, so the fused fast path bails to the generic masked-commit
-    // path — this row tracks the bank's worst-case regime, and its
-    // checksum extends the original bank_checksum series.
-    {
-        telemetry::Span span("bank-microloop-saturated", "bench");
-        const size_t lanes = 4096;
-        ControllerBank bank;
-        for (size_t l = 0; l < lanes; ++l) {
-            bank.addLane(model, w, satLim);
-            bank.setReference(l, satRef);
-            bank.setMeasurement(l, y);
-        }
-        for (size_t i = 0; i < 20; ++i)
-            bank.stepAll();
-        const size_t iters = 4 * micro_steps / lanes + 1;
-        const double t0 = nowMs();
-        for (size_t i = 0; i < iters; ++i)
-            bank.stepAll();
-        const double t1 = nowMs();
-        double sum = 0.0;
-        for (size_t l = 0; l < lanes; ++l)
-            sum += bank.command(l, 0);
-        const double lane_steps =
-            static_cast<double>(lanes) * static_cast<double>(iters);
-        cur.bankSaturatedNsPerLaneStep = (t1 - t0) * 1e6 / lane_steps;
-        cur.bankSaturatedChecksum = sum;
-        std::printf("bank:          %10.1f ns/lane-step saturated at "
-                    "N=%zu (checksum %.17g)\n",
-                    cur.bankSaturatedNsPerLaneStep, lanes, sum);
     }
 
     // 3. The fig09-style sweep: MIMO + optimizer, one job per app.

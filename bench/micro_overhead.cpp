@@ -13,30 +13,14 @@
 #include "control/lqg.hpp"
 #include "core/controllers.hpp"
 #include "core/optimizer.hpp"
+#include "dim4_model.hpp"
 #include "linalg/riccati.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace mimoarch {
 namespace {
 
-StateSpaceModel
-dim4Model()
-{
-    // A representative identified model: dimension 4, 2 inputs/outputs.
-    StateSpaceModel m;
-    m.a = Matrix{{0.55, 0.2, 0.1, 0.0},
-                 {0.1, 0.5, 0.0, 0.1},
-                 {0.05, 0.0, 0.4, 0.1},
-                 {0.0, 0.05, 0.1, 0.35}};
-    m.b = Matrix{{0.4, 0.1}, {0.2, 0.3}, {0.1, 0.05}, {0.05, 0.1}};
-    m.c = Matrix{{1.0, 0.0, 0.2, 0.1}, {0.0, 1.0, 0.1, 0.2}};
-    m.d = Matrix{{0.1, 0.02}, {0.15, 0.01}};
-    m.qn = Matrix::identity(4) * 1e-3;
-    m.rn = Matrix::identity(2) * 1e-2;
-    m.inputScaling = SignalScaling::identity(2);
-    m.outputScaling = SignalScaling::identity(2);
-    return m;
-}
+using bench::dim4Model;
 
 LqgServoController
 makeController()

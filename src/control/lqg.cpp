@@ -17,6 +17,31 @@ diagFrom(const std::vector<double> &entries)
     return Matrix::diag(entries);
 }
 
+/**
+ * Steady-state servo targets for reference @p y0_scaled: solve
+ * [A-I B; C D] [x_ss; u_ss] = [0; y0] in ridge least squares (scaled
+ * coordinates).
+ */
+void
+computeServoTargets(const StateSpaceModel &model, const Matrix &y0_scaled,
+                    Matrix &x_ss, Matrix &u_ss)
+{
+    // Solve [A-I B; C D] [x_ss; u_ss] = [0; y0] in least squares.
+    const size_t n = model.stateDim();
+    const size_t m = model.numInputs();
+    const size_t p = model.numOutputs();
+    Matrix lhs(n + p, n + m);
+    lhs.setBlock(0, 0, model.a - Matrix::identity(n));
+    lhs.setBlock(0, n, model.b);
+    lhs.setBlock(n, 0, model.c);
+    lhs.setBlock(n, n, model.d);
+    Matrix rhs(n + p, 1);
+    rhs.setBlock(n, 0, y0_scaled);
+    const Matrix sol = solveRidge(lhs, rhs, 1e-9);
+    x_ss = sol.block(0, 0, n, 1);
+    u_ss = sol.block(n, 0, m, 1);
+}
+
 } // namespace
 
 LqgServoController::LqgServoController(const StateSpaceModel &model,
@@ -182,26 +207,6 @@ LqgServoController::allocWorkspace()
     ws_.ax.resizeShape(n, 1);
     ws_.bu.resizeShape(n, 1);
     ws_.li.resizeShape(n, 1);
-}
-
-void
-computeServoTargets(const StateSpaceModel &model, const Matrix &y0_scaled,
-                    Matrix &x_ss, Matrix &u_ss)
-{
-    // Solve [A-I B; C D] [x_ss; u_ss] = [0; y0] in least squares.
-    const size_t n = model.stateDim();
-    const size_t m = model.numInputs();
-    const size_t p = model.numOutputs();
-    Matrix lhs(n + p, n + m);
-    lhs.setBlock(0, 0, model.a - Matrix::identity(n));
-    lhs.setBlock(0, n, model.b);
-    lhs.setBlock(n, 0, model.c);
-    lhs.setBlock(n, n, model.d);
-    Matrix rhs(n + p, 1);
-    rhs.setBlock(n, 0, y0_scaled);
-    const Matrix sol = solveRidge(lhs, rhs, 1e-9);
-    x_ss = sol.block(0, 0, n, 1);
-    u_ss = sol.block(n, 0, m, 1);
 }
 
 void

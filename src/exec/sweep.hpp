@@ -53,7 +53,7 @@ struct SweepOptions
      */
     std::string telemetry;
     /**
-     * Expected total epochs (or bank steps) across the sweep. When
+     * Expected total epochs across the sweep. When
      * > 0 and this runner arms the trace buffer, the buffer is sized
      * via telemetry::traceCapacityForEpochs() instead of the fixed
      * legacy worst-case preallocation, so telemetry-ON memory scales

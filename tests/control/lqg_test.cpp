@@ -250,6 +250,32 @@ TEST(Lqg, AntiWindupRecoversQuicklyAfterSaturation)
     EXPECT_LT(settle, 250);
 }
 
+TEST(Lqg, SaturationWatchdogReinitializesALockedLoop)
+{
+    const StateSpaceModel plant = coupledPlant();
+    InputLimits lim;
+    lim.lo = {-0.2, -0.2};
+    lim.hi = {0.2, 0.2};
+    const auto trips = [&](unsigned watchdog_steps) {
+        LqgServoController ctrl(plant, defaultWeights2x2(), lim);
+        ctrl.setSaturationWatchdog(watchdog_steps);
+        ctrl.setReference(Matrix::vector({5.0, 5.0})); // unreachable
+        SimLoop sim(plant);
+        Matrix u(2, 1);
+        for (int t = 0; t < 200; ++t) {
+            u = ctrl.step(sim.observe(u));
+            sim.advance(u);
+        }
+        EXPECT_TRUE(ctrl.stateFinite());
+        return ctrl.watchdogTrips();
+    };
+    // Every step clips with a tracking error far above 15%, so the
+    // streak reaches the threshold every 20 steps, and each trip
+    // restarts it.
+    EXPECT_EQ(trips(20), 10ul);
+    EXPECT_EQ(trips(0), 0ul);
+}
+
 TEST(Lqg, NoisyMeasurementsStillConverge)
 {
     StateSpaceModel plant = coupledPlant();

@@ -23,6 +23,11 @@
  * Finer-grained (15%-level) drift detection stays with the
  * BENCH_hotpath baseline comparison, which prints per-series ratios
  * against the committed JSON on every bench run.
+ *
+ * The same file pins the scalar controller's numerics: the saturated
+ * and steady microloop checksums that hotpath_throughput reports are
+ * asserted bit-exact here, so a change that moves the controller's
+ * arithmetic fails ctest rather than only a bench run.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +35,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <iomanip>
 #include <vector>
 
 #include "common/random.hpp"
@@ -78,12 +84,19 @@ nowNs()
         .count();
 }
 
-TEST(StepLatencyGuard, ScalarStepStaysNearTheGemvReferenceKernel)
+LqgWeights
+benchWeights()
 {
-    const StateSpaceModel model = dim4Model();
     LqgWeights weights;
     weights.outputWeights = {10.0, 10000.0};
     weights.inputWeights = {1000.0, 50.0};
+    return weights;
+}
+
+TEST(StepLatencyGuard, ScalarStepStaysNearTheGemvReferenceKernel)
+{
+    const StateSpaceModel model = dim4Model();
+    const LqgWeights weights = benchWeights();
     InputLimits limits;
     limits.lo = {-50.0, -50.0};
     limits.hi = {50.0, 50.0};
@@ -145,6 +158,54 @@ TEST(StepLatencyGuard, ScalarStepStaysNearTheGemvReferenceKernel)
     EXPECT_LE(lqg_ns, kAbsCeilingNs)
         << "controller step latency blew through the catastrophic "
            "ceiling";
+}
+
+/**
+ * hotpath_throughput's controller microloop: 1000 warm-up steps at a
+ * fixed measurement, then the sum of the first command over 500000
+ * steps.
+ */
+double
+microloopChecksum(const InputLimits &limits, const Matrix &ref)
+{
+    LqgServoController ctrl(dim4Model(), benchWeights(), limits);
+    ctrl.setReference(ref);
+    const Matrix y = Matrix::vector({1.8, 1.9});
+    for (size_t i = 0; i < 1000; ++i)
+        (void)ctrl.step(y);
+    double sum = 0.0;
+    for (size_t i = 0; i < 500000; ++i)
+        sum += ctrl.step(y)[0];
+    return sum;
+}
+
+/**
+ * The saturated and steady checksums of BENCH_hotpath.json, asserted
+ * bit for bit. Like the golden traces, the values are exact double bit
+ * patterns and so are specific to the toolchain and libm; update them
+ * together with BENCH_hotpath.json after an intentional numeric change.
+ */
+TEST(ControllerNumerics, HotpathMicroloopChecksumsAreBitExact)
+{
+    InputLimits satLim;
+    satLim.lo = {0.5, 1.0};
+    satLim.hi = {2.0, 4.0};
+    InputLimits wideLim;
+    wideLim.lo = {-50.0, -50.0};
+    wideLim.hi = {50.0, 50.0};
+
+    // Reference off the measurement with tight limits: an input clips
+    // every step, through the anti-windup branch.
+    const double saturated =
+        microloopChecksum(satLim, Matrix::vector({2.0, 2.0}));
+    EXPECT_EQ(saturated, 974022.82798527787)
+        << std::setprecision(17) << "saturated checksum " << saturated;
+    // Reference equal to the measurement with wide limits: zero error,
+    // commands at an interior fixed point.
+    const double steady =
+        microloopChecksum(wideLim, Matrix::vector({1.8, 1.9}));
+    EXPECT_EQ(steady, 187527.02400202927)
+        << std::setprecision(17) << "steady checksum " << steady;
 }
 
 } // namespace
